@@ -10,6 +10,11 @@ step reconciles), its pending patch chain, and dirty/version state.
 The cache is a bounded LRU; evicting a descriptor with pending patches
 would lose updates, so eviction skips dirty descriptors (the background
 merger flushes them, after which they become evictable).
+
+Maintenance traffic (gossip rumors, anti-entropy pulls) goes through
+:meth:`FileDescriptorCache.admit_for_maintenance`, never the client
+path: it may use spare capacity but can never evict, promote or count
+against a descriptor a client put in the cache.
 """
 
 from __future__ import annotations
@@ -87,6 +92,8 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+    #: rings maintenance traffic asked for but the full cache refused
+    maintenance_skips: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -138,6 +145,33 @@ class FileDescriptorCache:
             self.insert(fd)
         return fd
 
+    def admit_for_maintenance(self, ns: Namespace) -> FileDescriptor | None:
+        """The descriptor gossip and anti-entropy may merge into, or None.
+
+        The one admission rule for maintenance traffic:
+
+        * a held ring returns its descriptor -- no LRU promotion, no hit
+          or miss counted (a peer's update is not client demand);
+        * an unheld ring gets a fresh, unloaded descriptor only while
+          the cache has spare capacity, inserted at the *cold* (LRU)
+          end so the first client insert that needs room evicts it
+          before anything a client used;
+        * an unheld ring on a full cache is refused (None, counted in
+          ``stats.maintenance_skips``): admitting it would evict a
+          client's working set.  Nothing is lost -- every acknowledged
+          mutation is in the store, and a later cold load reads it.
+        """
+        fd = self._entries.get(ns.uuid)
+        if fd is not None:
+            return fd
+        if len(self._entries) >= self.capacity:
+            self.stats.maintenance_skips += 1
+            return None
+        fd = FileDescriptor(ns=ns)
+        self._entries[ns.uuid] = fd
+        self._entries.move_to_end(ns.uuid, last=False)
+        return fd
+
     def insert(self, fd: FileDescriptor) -> None:
         self._entries[fd.ns.uuid] = fd
         self._entries.move_to_end(fd.ns.uuid)
@@ -174,12 +208,19 @@ class FileDescriptorCache:
         return list(self._entries.values())
 
     def _evict_if_needed(self) -> None:
-        if len(self._entries) <= self.capacity:
+        excess = len(self._entries) - self.capacity
+        if excess <= 0:
             return
-        # Evict least-recently-used *clean* descriptors only.
-        for uuid in list(self._entries):
-            if len(self._entries) <= self.capacity:
-                break
-            if not self._entries[uuid].dirty:
-                del self._entries[uuid]
-                self.stats.evictions += 1
+        # Evict the ``excess`` least-recently-used *clean* descriptors:
+        # walk from the LRU end, skipping pinned dirty ones, and stop at
+        # the last victim -- no copy of the key list.  Deletion waits
+        # until the walk ends (an OrderedDict cannot shrink mid-walk).
+        victims = []
+        for uuid, fd in self._entries.items():
+            if not fd.dirty:
+                victims.append(uuid)
+                if len(victims) == excess:
+                    break
+        for uuid in victims:
+            del self._entries[uuid]
+        self.stats.evictions += len(victims)

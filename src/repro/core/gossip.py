@@ -14,9 +14,11 @@ the same NameRing views".  The paper's protocol:
 The :class:`GossipNetwork` here is a deterministic, round-pumped
 message fabric: rumors are queued, :meth:`pump` delivers one round,
 :meth:`run_until_quiet` drives the system to convergence.  Message loss
-is injectable; anti-entropy (periodic full-state sync between random
-pairs) backstops convergence under loss, mirroring how epidemic
-protocols [Demers et al. 1987] pair rumor mongering with anti-entropy.
+is injectable; anti-entropy (each node pulls every ring it holds from
+the ring's next holder in cyclic order) backstops convergence under
+loss, mirroring how epidemic protocols [Demers et al. 1987] pair rumor
+mongering with anti-entropy.  Neither path may evict a client's cached
+descriptor: both go through the cache's maintenance admission rule.
 
 Sharded rings ride through unchanged rumors: a receiver absorbs the
 announcer's in-memory ring, records which names changed
@@ -236,28 +238,36 @@ class GossipNetwork:
     # anti-entropy backstop
     # ------------------------------------------------------------------
     def anti_entropy_round(self) -> int:
-        """Pairwise full-state sync: every node pulls from its successor.
+        """Holder-cycle sync: each node pulls each ring from its next holder.
 
-        Guarantees convergence even when rumor messages were lost.
-        Returns the number of rings refreshed.
+        For every ring a puller holds, the source is the next member in
+        cyclic node-id order that holds that ring (a loaded descriptor)
+        and is reachable both ways.  Sources are visited in that cyclic
+        order with one shared ``done`` set, so a ring is taken from the
+        first of them that has it.  At a fixed point every holder's ring
+        covers its next holder's, and around the cycle that forces all
+        holders equal -- even when some middle member's cache is full
+        and never admits the ring (docs/PROTOCOL.md §5).  Guarantees
+        convergence even when rumor messages were lost.  Returns the
+        number of rings refreshed.
         """
         node_ids = sorted(self._members)
         self.anti_entropy_rounds += 1
         refreshed = 0
         for i, nid in enumerate(node_ids):
             puller = self._members[nid]
-            source_id = node_ids[(i + 1) % len(node_ids)]
-            source = self._members[source_id]
-            if source is puller:
-                continue
-            # A pull needs both directions: the request out and the
-            # state back.  Either severed, the pair stays diverged
-            # until the partition heals.
-            if not (
-                self._link_ok(nid, source_id) and self._link_ok(source_id, nid)
-            ):
-                continue
-            refreshed += puller.pull_state_from(source)
+            done: set[str] = set()
+            for k in range(1, len(node_ids)):
+                source_id = node_ids[(i + k) % len(node_ids)]
+                # A pull needs both directions: the request out and the
+                # state back.  Either severed, that source is passed
+                # over; with every source cut the puller stays diverged
+                # until the partition heals.
+                if not (
+                    self._link_ok(nid, source_id) and self._link_ok(source_id, nid)
+                ):
+                    continue
+                refreshed += puller.pull_state_from(self._members[source_id], done)
         return refreshed
 
     def converge(self, max_rounds: int = 1000) -> None:

@@ -711,7 +711,13 @@ class H2Middleware:
                 parent=rumor.trace,
             ):
                 return self.fd_cache.purge(rumor.ns)
-        fd = self.fd_cache.get_or_create(rumor.ns)
+        fd = self.fd_cache.admit_for_maintenance(rumor.ns)
+        if fd is None:
+            # Not held and no spare room: absorbing would evict a
+            # client's descriptor.  The rumor dies here -- the origin's
+            # merger wrote the update back before announcing, so a later
+            # cold load of this ring reads it from the store.
+            return False
         if fd.local_version >= rumor.ts:
             return False
 
@@ -771,8 +777,21 @@ class H2Middleware:
             return None
         return fd.ring
 
-    def pull_state_from(self, source: "H2Middleware") -> int:
-        """Anti-entropy: merge every loaded ring of ``source``; count changes.
+    def pull_state_from(
+        self, source: "H2Middleware", done: set[str] | None = None
+    ) -> int:
+        """Anti-entropy: merge ``source``'s loaded rings we may cache.
+
+        Every loaded ring of ``source`` is offered to the cache's
+        maintenance admission rule: a ring we hold is merged, an unheld
+        one only while the cache has spare room (see
+        :meth:`FileDescriptorCache.admit_for_maintenance`), so a pull
+        never evicts a client's descriptor.  ``done`` holds the uuids of
+        rings already settled this round -- pulled from an earlier
+        source or refused -- and is extended in place; the network's
+        holder-cycle round passes one set through every source in
+        cyclic order, so each ring comes from its *next holder*.
+        Returns the number of rings whose local version changed.
 
         With ``gossip_digests`` on, the pull is digest-first: for each
         of the source's rings the local ``(version, crc)`` pair is
@@ -782,24 +801,24 @@ class H2Middleware:
         exchange when the peers already agree, which after convergence
         is almost always.
         """
-        changed = 0
         store = self.store
         prev_origin = store.origin
         store.origin = self.node_id  # write-backs ride this node's links
         try:
-            return self._pull_state_from(source)
+            return self._pull_state_from(source, set() if done is None else done)
         finally:
             store.origin = prev_origin
 
-    def _pull_state_from(self, source: "H2Middleware") -> int:
+    def _pull_state_from(self, source: "H2Middleware", done: set[str]) -> int:
         changed = 0
         with self.tracer.span(
             "gossip.anti_entropy",
             tags={"node": self.node_id, "source": source.node_id},
         ) as span:
             for src_fd in source.fd_cache.descriptors():
-                if not src_fd.loaded:
+                if not src_fd.loaded or src_fd.ns.uuid in done:
                     continue
+                done.add(src_fd.ns.uuid)
                 if self.config.gossip_digests:
                     local = self.fd_cache.peek(src_fd.ns)
                     if (
@@ -811,7 +830,9 @@ class H2Middleware:
                     ):
                         self._digest_skips.inc()
                         continue
-                fd = self.fd_cache.get_or_create(src_fd.ns)
+                fd = self.fd_cache.admit_for_maintenance(src_fd.ns)
+                if fd is None:
+                    continue  # not held, no room: a cold load reads the store
                 merged, changed_names = fd.ring.merge_changes(src_fd.ring)
                 if changed_names:
                     fd.ring = merged

@@ -173,6 +173,7 @@ class Monitor:
             "fd_cache.misses": cache.misses,
             "fd_cache.hit_rate": cache.hit_rate,
             "fd_cache.evictions": cache.evictions,
+            "fd_cache.maintenance_skips": cache.maintenance_skips,
             "maintenance.patches_submitted": mw.patches_submitted,
             "maintenance.merges": mw.merger.merges,
             "maintenance.merge_steps": mw.merger.single_steps,

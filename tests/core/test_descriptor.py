@@ -1,6 +1,8 @@
 """Tests for file descriptors and the LRU descriptor cache (paper §4.5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Child,
@@ -118,3 +120,107 @@ class TestCache:
 
     def test_hit_rate_empty(self):
         assert FileDescriptorCache().stats.hit_rate == 0.0
+
+
+class TestMaintenanceAdmission:
+    def test_held_ring_not_promoted_or_counted(self):
+        cache = FileDescriptorCache(capacity=2)
+        a = cache.get_or_create(ns(1))
+        cache.get_or_create(ns(2))
+        hits, misses = cache.stats.hits, cache.stats.misses
+        assert cache.admit_for_maintenance(ns(1)) is a
+        assert (cache.stats.hits, cache.stats.misses) == (hits, misses)
+        cache.get_or_create(ns(3))  # 1 is still the LRU entry
+        assert ns(1) not in cache
+
+    def test_spare_room_inserts_at_cold_end(self):
+        cache = FileDescriptorCache(capacity=3)
+        cache.get_or_create(ns(1))
+        cache.get_or_create(ns(2))
+        fd = cache.admit_for_maintenance(ns(9))
+        assert fd is not None and not fd.loaded
+        assert [d.ns for d in cache.descriptors()] == [ns(9), ns(1), ns(2)]
+        cache.get_or_create(ns(3))  # the admitted ring goes first
+        assert ns(9) not in cache
+        assert ns(1) in cache and ns(2) in cache
+
+    def test_full_cache_refuses_and_counts(self):
+        cache = FileDescriptorCache(capacity=2)
+        cache.get_or_create(ns(1))
+        cache.get_or_create(ns(2))
+        assert cache.admit_for_maintenance(ns(9)) is None
+        assert ns(9) not in cache
+        assert len(cache) == 2
+        assert cache.stats.maintenance_skips == 1
+        assert cache.stats.evictions == 0
+
+
+class ReferenceLRU:
+    """The eviction spec, spelled out: an ordered list, LRU first; an
+    insert past capacity removes the oldest *clean* keys until the size
+    fits or only dirty keys remain."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.order: list[int] = []
+        self.dirty: set[int] = set()
+        self.evictions = 0
+
+    def touch(self, key: int) -> None:
+        if key in self.order:
+            self.order.remove(key)
+            self.order.append(key)
+
+    def insert(self, key: int) -> None:
+        if key in self.order:
+            self.touch(key)
+            return
+        self.order.append(key)
+        while len(self.order) > self.capacity:
+            clean = [k for k in self.order if k not in self.dirty]
+            if not clean:
+                break
+            self.order.remove(clean[0])
+            self.evictions += 1
+
+    def admit(self, key: int) -> None:
+        if key not in self.order and len(self.order) < self.capacity:
+            self.order.insert(0, key)
+
+
+class TestEvictionModel:
+    @given(
+        capacity=st.integers(1, 4),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "lookup", "dirty", "clean", "admit"]),
+                st.integers(0, 7),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_evicts_like_reference_lru_with_dirty_pinned(self, capacity, ops):
+        cache = FileDescriptorCache(capacity=capacity)
+        ref = ReferenceLRU(capacity)
+        for op, key in ops:
+            fd = cache.peek(ns(key))
+            if op == "insert":
+                cache.get_or_create(ns(key))
+                ref.insert(key)
+            elif op == "lookup":
+                cache.lookup(ns(key))
+                ref.touch(key)
+            elif op == "dirty" and fd is not None:
+                dirty(fd)
+                ref.dirty.add(key)
+            elif op == "clean" and fd is not None:
+                fd.chain.clear()
+                ref.dirty.discard(key)
+            elif op == "admit":
+                cache.admit_for_maintenance(ns(key))
+                ref.admit(key)
+            assert [d.ns for d in cache.descriptors()] == [
+                ns(k) for k in ref.order
+            ]
+            assert cache.stats.evictions == ref.evictions

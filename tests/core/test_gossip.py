@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GossipNetwork, H2CloudFS, Namespace, Rumor
+from repro.core import GossipNetwork, H2CloudFS, H2Config, Namespace, Rumor
 from repro.simcloud import MessageLoss, SwiftCluster
 
 
@@ -136,6 +136,80 @@ class TestConvergenceUnderLoss:
         fs.network.converge()
         views = ring_views(fs)
         assert all(v == ["only-antientropy"] for v in views)
+
+
+class TestMaintenanceRespectsTheCache:
+    """Rumors and anti-entropy use spare cache room but never evict."""
+
+    CAPACITY = 4
+
+    def small_cache_fs(self, n: int) -> H2CloudFS:
+        return H2CloudFS(
+            SwiftCluster.fast(),
+            account="alice",
+            middlewares=n,
+            config=H2Config(fd_cache_capacity=self.CAPACITY),
+        )
+
+    def test_holder_cycle_skips_a_full_non_holder(self):
+        """Ring /d is held by mw1 and mw3, not by mw2 (full of other
+        rings).  With every rumor lost, one converge() must still bring
+        mw3's write into mw1's *cached* ring: mw1 pulls /d from its next
+        holder, mw3, past the successor that never admits it."""
+        fs = self.small_cache_fs(3)
+        mw1, mw2, mw3 = fs.middlewares
+        for name in ("d", "o1", "o2", "o3"):
+            mw1.mkdir("alice", f"/{name}")
+        fs.pump()
+        fs.drop_caches()
+        mw1.list_dir("alice", "/d")
+        mw3.list_dir("alice", "/d")
+        for name in ("o1", "o2", "o3"):
+            mw2.list_dir("alice", f"/{name}")
+        d = mw1.lookup.resolve_dir("alice", "/d")
+        assert d in mw1.fd_cache and d in mw3.fd_cache
+        assert d not in mw2.fd_cache
+        assert len(mw2.fd_cache) == self.CAPACITY
+        held = mw1.fd_cache.peek(d)
+        misses = mw1.fd_cache.stats.misses
+
+        fs.network.loss = MessageLoss(1.0)
+        mw3.write_file("alice", "/d/f", b"x")
+        fs.network.converge()
+
+        cached = mw1.fd_cache.peek(d)
+        assert cached is held  # merged in place, never evicted/reloaded
+        assert "f" in cached.ring.live_names()
+        assert mw1.fd_cache.stats.misses == misses
+        assert d not in mw2.fd_cache
+        assert mw2.fd_cache.stats.maintenance_skips > 0
+
+    def test_drain_into_full_cache_keeps_client_descriptors(self):
+        """A peer's churn in rings this node never served must not push
+        the node's client working set out of its full cache."""
+        fs = self.small_cache_fs(2)
+        mw1, mw2 = fs.middlewares
+        for name in ("a1", "a2", "a3", "b1", "b2", "b3"):
+            mw1.mkdir("alice", f"/{name}")
+        fs.pump()
+        fs.drop_caches()
+        for name in ("a1", "a2", "a3"):
+            mw1.list_dir("alice", f"/{name}")
+        working_set = [fd.ns for fd in mw1.fd_cache.descriptors()]
+        assert len(working_set) == self.CAPACITY
+        evictions = mw1.fd_cache.stats.evictions
+
+        for name in ("b1", "b2", "b3"):
+            for i in range(3):
+                mw2.write_file("alice", f"/{name}/f{i}", b"x")
+        fs.pump()
+
+        assert [fd.ns for fd in mw1.fd_cache.descriptors()] == working_set
+        assert mw1.fd_cache.stats.evictions == evictions
+        assert mw1.fd_cache.stats.maintenance_skips > 0
+        # The refused rings are not lost: a cold load reads the store.
+        names = [e.name for e in mw1.list_dir("alice", "/b2")]
+        assert names == ["f0", "f1", "f2"]
 
 
 class TestConvergenceProperty:

@@ -20,6 +20,7 @@ GOLDEN_KEYS = frozenset(
         "fd_cache.misses",
         "fd_cache.hit_rate",
         "fd_cache.evictions",
+        "fd_cache.maintenance_skips",
         "maintenance.patches_submitted",
         "maintenance.merges",
         "maintenance.merge_steps",
