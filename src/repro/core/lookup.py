@@ -14,11 +14,20 @@ A cold walk through a *sharded* directory (``nr:`` holds a manifest,
 see :mod:`repro.core.shards`) fans the shard GETs out in parallel
 lanes, so resolution latency stays one round-trip deep per level even
 at 500k children.
+
+A walk that ends in a data read (:meth:`H2Lookup.resolve` with
+``fetch``) issues the final object's GET as soon as the parent
+directory's namespace is known -- from the grandparent's ring -- so
+when the parent's own ring must come from the store, the two GETs go
+out together and the read waits one round trip instead of two.  The
+fetched object is handed back only once the parent's ring confirms the
+name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from ..simcloud.errors import NotADirectory, PathNotFound
 from .namering import KIND_DIR, Child
@@ -32,6 +41,11 @@ class Resolution:
     path: str
     ns_chain: tuple[Namespace, ...]  # namespaces of every ancestor dir
     child: Child | None  # None when the path is the account root
+    #: outcome of a ``fetch`` issued beside the parent ring's GET:
+    #: ``(value, None)`` or ``(None, error)``; None when not issued
+    prefetched: tuple[Any, BaseException | None] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def parent_ns(self) -> Namespace:
@@ -54,6 +68,20 @@ class Resolution:
             raise NotADirectory(self.path)
         return Namespace(self.child.ns)
 
+    def fetch(self, fetch: Callable[[Namespace, str], Any]) -> Any:
+        """``fetch(parent_ns, name)`` for the final component.
+
+        Returns (or raises) the outcome the walk already has when it
+        issued the fetch beside the parent ring's GET; otherwise calls
+        ``fetch`` now.
+        """
+        if self.prefetched is None:
+            return fetch(self.parent_ns, self.child.name)
+        value, error = self.prefetched
+        if error is not None:
+            raise error
+        return value
+
 
 class H2Lookup:
     """Level-by-level resolution over a middleware's NameRings."""
@@ -61,33 +89,73 @@ class H2Lookup:
     def __init__(self, middleware):
         self._mw = middleware
 
-    def resolve(self, account: str, path: str, use_cache: bool = True) -> Resolution:
+    def resolve(
+        self,
+        account: str,
+        path: str,
+        use_cache: bool = True,
+        fetch: Callable[[Namespace, str], Any] | None = None,
+    ) -> Resolution:
         """Resolve a full path to its parent chain and final child.
 
         Raises :class:`PathNotFound` if any component is missing (or
         fake-deleted) and :class:`NotADirectory` if a non-final
         component is a file.  Cost: one NameRing load per level that
         misses the descriptor cache.
+
+        ``fetch(parent_ns, name)`` is the data read the caller will make
+        for the final component.  When the parent's ring is not cached,
+        it is issued in parallel with that ring's GET and its outcome
+        kept in :attr:`Resolution.prefetched`; a failed lookup raises
+        its own error and the outcome is dropped.  Otherwise the walk
+        leaves it to :meth:`Resolution.fetch`.
         """
         components = split_path(path)
         ns = Namespace.root(account)
         chain = [ns]
         child: Child | None = None
-        tracer = self._mw.tracer
+        prefetched = None
+        last = len(components) - 1
         for i, name in enumerate(components):
-            if tracer.noop:
-                child, ns = self._resolve_level(
-                    components, i, name, ns, chain, use_cache
+            if fetch is not None and i == last and not self._ring_cached(ns, use_cache):
+                hop, prefetched = self._mw.store.parallel(
+                    [
+                        _captured(self._hop, components, i, name, ns, chain, use_cache),
+                        _captured(fetch, ns, name),
+                    ]
                 )
+                result, error = hop
+                if error is not None:
+                    raise error
+                child, ns = result
                 continue
-            with tracer.span(
-                "lookup.hop",
-                tags={"node": self._mw.node_id, "name": name, "depth": i},
-            ):
-                child, ns = self._resolve_level(
-                    components, i, name, ns, chain, use_cache
-                )
-        return Resolution(path=path, ns_chain=tuple(chain), child=child)
+            child, ns = self._hop(components, i, name, ns, chain, use_cache)
+        return Resolution(
+            path=path, ns_chain=tuple(chain), child=child, prefetched=prefetched
+        )
+
+    def _ring_cached(self, ns: Namespace, use_cache: bool) -> bool:
+        """Would :meth:`H2Middleware.load_ring` serve ``ns`` from the cache?"""
+        fd = self._mw.fd_cache.peek(ns)
+        return use_cache and fd is not None and fd.loaded and not fd.stale
+
+    def _hop(
+        self,
+        components: list[str],
+        i: int,
+        name: str,
+        ns: Namespace,
+        chain: list[Namespace],
+        use_cache: bool,
+    ) -> tuple[Child, Namespace]:
+        tracer = self._mw.tracer
+        if tracer.noop:
+            return self._resolve_level(components, i, name, ns, chain, use_cache)
+        with tracer.span(
+            "lookup.hop",
+            tags={"node": self._mw.node_id, "name": name, "depth": i},
+        ):
+            return self._resolve_level(components, i, name, ns, chain, use_cache)
 
     def _resolve_level(
         self,
@@ -161,3 +229,19 @@ class H2Lookup:
             return self.resolve(account, path, use_cache=use_cache)
         except (PathNotFound, NotADirectory):
             return None
+
+
+def _captured(fn: Callable[..., Any], *args: Any) -> Callable[[], tuple]:
+    """A parallel-batch thunk returning ``(value, None)`` or ``(None, error)``.
+
+    A lane must not raise: :meth:`SimClock.run_isolated` rewinds the
+    clock only when the thunk returns.
+    """
+
+    def run() -> tuple:
+        try:
+            return fn(*args), None
+        except Exception as exc:  # handed back to the caller, who raises it
+            return None, exc
+
+    return run

@@ -1341,25 +1341,34 @@ class H2Middleware:
 
     @observed("read", path_arg=1)
     def read_file(self, account: str, path: str) -> bytes:
-        """Regular (full-path) file access: O(d) walk then one GET."""
-        resolution = self.lookup.resolve(account, path)
+        """Regular (full-path) file access: O(d) walk then one GET.
+
+        The GET needs only the parent's namespace, so when the parent's
+        ring misses the cache the two go out together (see
+        :meth:`H2Lookup.resolve`).
+        """
+        resolution = self.lookup.resolve(account, path, fetch=self._get_file)
         child = resolution.child
         if child is None or child.kind != KIND_FILE:
             raise IsADirectory(path)
-        return self.store.get(file_key(resolution.parent_ns, child.name)).data
+        return resolution.fetch(self._get_file).data
+
+    def _get_file(self, ns: Namespace, name: str):
+        return self.store.get(file_key(ns, name))
 
     @observed("read_range", path_arg=1)
     def read_file_range(
         self, account: str, path: str, offset: int, length: int
     ):
         """Ranged READ: resolve once, transfer only the window."""
-        resolution = self.lookup.resolve(account, path)
+        def get_range(ns: Namespace, name: str):
+            return self.store.get_range(file_key(ns, name), offset, length)
+
+        resolution = self.lookup.resolve(account, path, fetch=get_range)
         child = resolution.child
         if child is None or child.kind != KIND_FILE:
             raise IsADirectory(path)
-        return self.store.get_range(
-            file_key(resolution.parent_ns, child.name), offset, length
-        )
+        return resolution.fetch(get_range)
 
     @observed("read_relative", path_arg=0)
     def read_file_relative(self, rel_path: str) -> bytes:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import H2CloudFS
-from repro.simcloud import NotADirectory, PathNotFound, SwiftCluster
+from repro.simcloud import IsADirectory, NotADirectory, PathNotFound, SwiftCluster
 
 
 @pytest.fixture
@@ -96,3 +96,53 @@ class TestLookupCosts:
         fs.stat("/a/b/c/d/leaf")
         fs.stat("/a/b/c/d/leaf")
         assert mw(fs).fd_cache.stats.hits > 0
+
+
+class TestReadBesideParentRingLoad:
+    """A read whose parent ring misses sends its data GET with the ring GET."""
+
+    def cold_parent(self, fs):
+        """Every ring but the leaf file's parent (``/a/b/c/d``) cached."""
+        fs.drop_caches()
+        fs.stat("/a/b/c/d")
+
+    def test_costs_one_round_trip_not_two(self, fs):
+        self.cold_parent(fs)
+        _, ring = fs.clock.measure(lambda: fs.stat("/a/b/c/d/leaf"))
+        _, data = fs.clock.measure(lambda: fs.read("/a/b/c/d/leaf"))  # all cached
+        self.cold_parent(fs)
+        gets = fs.store.ledger.gets
+        value, both = fs.clock.measure(lambda: fs.read("/a/b/c/d/leaf"))
+        assert value == b"x"
+        assert ring > 0 and data > 0
+        # Disk costs vary a little between runs of the same request, so
+        # compare with the sequential sum rather than for equality.
+        assert both < 0.6 * (ring + data)
+        assert fs.store.ledger.gets - gets == 2  # the ring, then the file
+
+    def test_missing_name_raises_lookup_error(self, fs):
+        """The lookup's error wins over the early GET's ObjectNotFound."""
+        self.cold_parent(fs)
+        with pytest.raises(PathNotFound) as err:
+            fs.read("/a/b/c/d/ghost")
+        assert err.value.path == "/a/b/c/d/ghost"
+
+    def test_directory_raises_is_a_directory(self, fs):
+        fs.drop_caches()
+        fs.stat("/a/b")
+        with pytest.raises(IsADirectory):
+            fs.read("/a/b/c")
+
+    def test_ranged_read(self, fs):
+        fs.write("/a/b/c/d/big", b"0123456789")
+        fs.pump()
+        self.cold_parent(fs)
+        assert bytes(fs.read_range("/a/b/c/d/big", 2, 5)) == b"23456"
+
+    def test_cached_parent_reads_after_lookup(self, fs):
+        fs.read("/a/b/c/d/leaf")
+        resolution = mw(fs).lookup.resolve(
+            "alice", "/a/b/c/d/leaf", fetch=lambda ns, name: (ns, name)
+        )
+        assert resolution.prefetched is None  # nothing issued early
+        assert resolution.fetch(lambda ns, name: name) == "leaf"
